@@ -13,7 +13,8 @@
 //! are band-checked.
 //!
 //! The `EXT` cell runs the same join through `ssj-extern`'s out-of-core
-//! spill executor under `--mem-budget`, so the baseline also pins the
+//! spill executor under `--mem-budget`, with the cost-model scheme
+//! `ssjoin` builds (`GeneralPartEnum::optimized`), so the baseline also pins the
 //! spill counters (`partitions`, `peak_bytes`, `spilled_records`,
 //! `spill_bytes`). `peak_rss_kb` (VmHWM) is recorded for the perf
 //! trajectory but is machine-dependent and never diffed.
@@ -196,7 +197,8 @@ fn run_ext(
     budget: u64,
 ) -> Result<(RunRecord, ExtExtras, BitmapCounters), String> {
     let pred = Predicate::Jaccard { gamma };
-    let scheme = GeneralPartEnum::new(pred, collection.max_set_len().max(1), seed)
+    // The scheme `ssjoin --mem-budget` builds: cost-model parameters.
+    let scheme = GeneralPartEnum::optimized(pred, &[collection], seed)
         .map_err(|e| format!("EXT scheme construction failed: {e}"))?;
     let path = std::env::temp_dir().join(format!("join_bench_ext_{}.seg", std::process::id()));
     let run: Result<ssj_extern::ExternStats, String> = (|| {

@@ -187,11 +187,14 @@ MODES:
 OPTIONS:
   --input FILE        one record per line (required)
   --input2 FILE       second input: binary join instead of self-join
-  --algo A            pen (default) | pf[:gram] | lsh[:recall] | wen
+  --algo A            pen (default) | pf[:gram] | lsh[:recall] | wen;
+                      pen picks its (n1, n2) per instance with the
+                      Section 3.2 cost model on a sample of the input
   --tokenizer T       words (default) | qgrams:N
   --threads N         worker threads (default 1; 0 = auto-detect cores)
   --output FILE       write pairs here instead of stdout
-  --stats             print phase timings and counters to stderr
+  --stats             print phase timings (paramsel = scheme building)
+                      and counters to stderr
   --mem-budget B      out-of-core join under a hard memory budget of B
                       bytes (suffixes k/m/g = powers of 1024); spills
                       hash-ranged partitions to disk and streams them.

@@ -21,6 +21,7 @@ use ssj_core::wtenum::{WtEnum, WtEnumJaccard};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything a run produces: the pairs and a stats summary line.
 #[derive(Debug)]
@@ -33,46 +34,42 @@ pub struct Outcome {
     pub exact: bool,
 }
 
-/// Reads one record per line.
+/// Reads one record per line (edit mode joins the raw strings).
 fn read_lines(path: &str) -> std::io::Result<Vec<String>> {
     let file = std::fs::File::open(path)?;
     let reader = std::io::BufReader::new(file);
     reader.lines().collect()
 }
 
-fn tokenize(lines: &[String], tokenizer: Tokenizer) -> SetCollection {
-    match tokenizer {
-        Tokenizer::Words => lines
-            .iter()
+/// Loads a set input: binary `ssj-io` collections (sniffed by magic) load
+/// directly; anything else is read as text lines and tokenized in place.
+fn load_sets(path: &str, tokenizer: Tokenizer) -> Result<SetCollection, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    if bytes.starts_with(b"SSJC") {
+        return ssj_io::collection_from_bytes(&bytes).map_err(|e| format!("{path}: {e}"));
+    }
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|_| format!("{path}: not UTF-8 text (and not an SSJC binary collection)"))?;
+    Ok(match tokenizer {
+        Tokenizer::Words => text
+            .lines()
             .map(|l| ssj_text::token_set(l, 0x11e))
             .collect(),
-        Tokenizer::Qgrams(n) => lines.iter().map(|l| ssj_text::qgram_set(l, n)).collect(),
-    }
+        Tokenizer::Qgrams(n) => text.lines().map(|l| ssj_text::qgram_set(l, n)).collect(),
+    })
 }
 
-/// Loads a set input: binary `ssj-io` collections (sniffed by magic) load
-/// directly; anything else is read as text lines and tokenized.
-fn load_sets(path: &str, tokenizer: Tokenizer) -> Result<SetCollection, String> {
-    let head = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if head.starts_with(b"SSJC") {
-        return ssj_io::collection_from_bytes(&head).map_err(|e| format!("{path}: {e}"));
-    }
-    let text = String::from_utf8(head)
-        .map_err(|_| format!("{path}: not UTF-8 text (and not an SSJC binary collection)"))?;
-    let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
-    Ok(tokenize(&lines, tokenizer))
-}
-
-fn stats_line(result: &JoinResult) -> String {
+fn stats_line(result: &JoinResult, paramsel_secs: f64) -> String {
     let s = &result.stats;
     format!(
         "signatures={} collisions={} candidates={} output={} false_positives={} \
-         siggen={:.3}s candpair={:.3}s postfilter={:.3}s total={:.3}s",
+         paramsel={:.3}s siggen={:.3}s candpair={:.3}s postfilter={:.3}s total={:.3}s",
         s.total_signatures(),
         s.signature_collisions,
         s.candidate_pairs,
         s.output_pairs,
         s.false_positives,
+        paramsel_secs,
         s.sig_gen_secs,
         s.cand_gen_secs,
         s.verify_secs,
@@ -80,35 +77,38 @@ fn stats_line(result: &JoinResult) -> String {
     )
 }
 
+/// Builds the scheme `cli.algo` names and runs the join. Also returns the
+/// seconds spent building the scheme (parameter selection included).
 fn build_and_run(
     cli: &Cli,
     pred: Predicate,
     left: &SetCollection,
     right: Option<&SetCollection>,
     weights: Option<Arc<WeightMap>>,
-) -> Result<JoinResult, String> {
+) -> Result<(JoinResult, f64), String> {
     let opts = JoinOptions {
         threads: cli.threads,
         verify: true,
         ..JoinOptions::default()
     };
-    let max_len = left
-        .max_set_len()
-        .max(right.map_or(0, |r| r.max_set_len()))
-        .max(1);
     let collections: Vec<&SetCollection> = match right {
         Some(r) => vec![left, r],
         None => vec![left],
     };
     let seed = 0xc11;
-    let run = |scheme: &(dyn ssj_core::signature::SignatureScheme + Sync)| match right {
-        Some(r) => join(&scheme, left, r, pred, weights.as_deref(), opts),
-        None => self_join(&scheme, left, pred, weights.as_deref(), opts),
+    // Every arm builds its scheme, then calls `run`.
+    let build_start = Instant::now();
+    let run = |scheme: &(dyn ssj_core::signature::SignatureScheme + Sync)| {
+        let build_secs = build_start.elapsed().as_secs_f64();
+        let result = match right {
+            Some(r) => join(&scheme, left, r, pred, weights.as_deref(), opts),
+            None => self_join(&scheme, left, pred, weights.as_deref(), opts),
+        };
+        (result, build_secs)
     };
     match cli.algo {
         Algo::Pen => {
-            let scheme = GeneralPartEnum::new(pred, max_len, seed)
-                .map_err(|e| format!("PartEnum does not support this predicate: {e}"))?;
+            let scheme = pen_scheme(pred, &collections)?;
             Ok(run(&scheme))
         }
         Algo::Pf(_) => {
@@ -151,6 +151,13 @@ fn build_and_run(
     }
 }
 
+/// The PartEnum scheme both join paths (in-memory and `--mem-budget`)
+/// build, with cost-model parameters, so their outputs are identical.
+fn pen_scheme(pred: Predicate, collections: &[&SetCollection]) -> Result<GeneralPartEnum, String> {
+    GeneralPartEnum::optimized(pred, collections, 0xc11)
+        .map_err(|e| format!("PartEnum does not support this predicate: {e}"))
+}
+
 /// Distinguishes temp segments written by concurrent joins in one process.
 static EXTERN_SEG_SALT: AtomicU64 = AtomicU64::new(0);
 
@@ -160,9 +167,9 @@ static EXTERN_SEG_SALT: AtomicU64 = AtomicU64::new(0);
 /// path (DESIGN.md §5h); the parser restricts this to self-joins with
 /// the PartEnum scheme.
 fn run_external(pred: Predicate, left: &SetCollection, budget: u64) -> Result<Outcome, String> {
-    let max_len = left.max_set_len().max(1);
-    let scheme = GeneralPartEnum::new(pred, max_len, 0xc11)
-        .map_err(|e| format!("PartEnum does not support this predicate: {e}"))?;
+    let t = Instant::now();
+    let scheme = pen_scheme(pred, &[left])?;
+    let paramsel_secs = t.elapsed().as_secs_f64();
     let seg_path = std::env::temp_dir().join(format!(
         "ssjoin_extern_{}_{}.seg",
         std::process::id(),
@@ -185,7 +192,7 @@ fn run_external(pred: Predicate, left: &SetCollection, budget: u64) -> Result<Ou
         stats_line: format!(
             "signatures={} collisions={} candidates={} output={} partitions={} \
              mem_budget={} peak_bytes={} spilled_records={} spill_bytes={} \
-             siggen={:.3}s spill={:.3}s probe={:.3}s postfilter={:.3}s",
+             paramsel={:.3}s siggen={:.3}s spill={:.3}s probe={:.3}s postfilter={:.3}s",
             s.signatures,
             s.collisions,
             s.candidates,
@@ -195,6 +202,7 @@ fn run_external(pred: Predicate, left: &SetCollection, budget: u64) -> Result<Ou
             s.peak_bytes,
             s.spilled_records,
             s.spill_bytes,
+            paramsel_secs,
             s.sig_secs,
             s.spill_secs,
             s.probe_secs,
@@ -207,10 +215,9 @@ fn run_external(pred: Predicate, left: &SetCollection, budget: u64) -> Result<Ou
 
 /// Executes a parsed invocation against the filesystem.
 pub fn execute(cli: &Cli) -> Result<Outcome, String> {
-    let left_lines = read_lines(&cli.input).map_err(|e| format!("{}: {e}", cli.input))?;
-
     // Edit mode bypasses tokenization: it works on the raw strings.
     if let Mode::Edit { k } = cli.mode {
+        let left_lines = read_lines(&cli.input).map_err(|e| format!("{}: {e}", cli.input))?;
         let mut cfg = match cli.algo {
             Algo::Pen => ssj_text::EditJoinConfig::partenum(k),
             Algo::Pf(gram) => ssj_text::EditJoinConfig::prefix_filter(k, gram.unwrap_or(4)),
@@ -254,9 +261,9 @@ pub fn execute(cli: &Cli) -> Result<Outcome, String> {
         return run_external(pred, &left, budget);
     }
 
-    let result = build_and_run(cli, pred, &left, right.as_ref(), weights)?;
+    let (result, paramsel_secs) = build_and_run(cli, pred, &left, right.as_ref(), weights)?;
     Ok(Outcome {
-        stats_line: stats_line(&result),
+        stats_line: stats_line(&result, paramsel_secs),
         exact: !result.approximate,
         pairs: result.pairs,
     })
@@ -501,6 +508,7 @@ mod tests {
         assert_eq!(out.pairs, vec![(0, 1)]);
         assert!(out.exact);
         assert!(out.stats_line.contains("output=1"));
+        assert!(out.stats_line.contains("paramsel="));
     }
 
     #[test]
@@ -651,6 +659,7 @@ mod tests {
             );
             assert!(spilled.exact);
             assert!(spilled.stats_line.contains("partitions="));
+            assert!(spilled.stats_line.contains("paramsel="));
         }
     }
 

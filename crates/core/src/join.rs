@@ -5,15 +5,15 @@
 //! which executes the scheme-independent steps:
 //!
 //! 1–2. generate signatures for each input set,
-//! 3.   find all pairs whose signature sets overlap (a hash "join" on the
-//!      signature value), and
+//! 3.   find all pairs whose signature sets overlap (a sort-merge "join" on
+//!      the signature value, [`crate::candidates`]), and
 //! 4.   post-filter candidates with the actual predicate.
 //!
 //! The driver is instrumented with the Section 3.2 measures (see
 //! [`crate::stats::JoinStats`]) and optionally parallelizes signature
 //! generation, candidate sharding, and verification across threads.
 
-use crate::hash::FxHashMap;
+use crate::candidates::{bucket_sort, cross_run_pairs, distinct_pairs, self_run_pairs, Posting};
 use crate::predicate::Predicate;
 use crate::set::{SetCollection, SetId, WeightMap};
 use crate::signature::{Signature, SignatureScheme};
@@ -91,201 +91,114 @@ fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
     }
 }
 
-/// Flattened per-set signatures: `sigs[offsets[i]..offsets[i+1]]` belong to
-/// set `i`. Signatures are sorted and deduplicated per set, so bucket
-/// membership is unique per (signature, set).
-struct SignatureTable {
-    sigs: Vec<Signature>,
-    offsets: Vec<u64>,
+/// The shard of `shards` that owns signature `sig`: signatures are hashes,
+/// so the high bits of `sig · shards` spread them evenly without a division.
+#[inline]
+fn shard_of(sig: Signature, shards: usize) -> usize {
+    ((u128::from(sig) * shards as u128) >> 64) as usize
 }
 
-impl SignatureTable {
-    fn total(&self) -> u64 {
-        self.sigs.len() as u64
-    }
+/// One signature shard's postings, as the parts generation workers made.
+type Shard = Vec<Vec<Posting>>;
 
-    fn of(&self, id: usize) -> &[Signature] {
-        let lo = crate::cast::usize_of_u64(self.offsets[id]);
-        let hi = crate::cast::usize_of_u64(self.offsets[id + 1]);
-        &self.sigs[lo..hi]
-    }
-}
-
-/// Generates signatures for every set, in parallel chunks.
-fn generate_signatures(
+/// Generates every set's signatures as `(signature, set id)` postings,
+/// grouped into `max(threads, 1)` signature shards ([`shard_of`]), in
+/// parallel chunks of sets. Each posting is unique
+/// ([`SignatureScheme::signature_set`] deduplicates per set).
+fn generate_postings(
     scheme: &impl SignatureScheme,
     collection: &SetCollection,
     threads: usize,
-) -> SignatureTable {
+) -> Vec<Shard> {
     let n = collection.len();
-    if threads <= 1 || n < 1024 {
-        let mut sigs = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
+    let shards = threads.max(1);
+    let chunk_postings = |lo: usize, hi: usize| {
+        let mut parts: Vec<Vec<Posting>> = vec![Vec::new(); shards];
         let mut buf = Vec::new();
         let mut scratch = crate::signature::SigScratch::default();
-        for (_, set) in collection.iter() {
-            buf.clear();
-            scheme.signatures_scratch(set, &mut scratch, &mut buf);
-            buf.sort_unstable();
-            buf.dedup();
-            sigs.extend_from_slice(&buf);
-            offsets.push(sigs.len() as u64);
-        }
-        return SignatureTable { sigs, offsets };
-    }
-
-    let chunk = n.div_ceil(threads);
-    let parts: Vec<(Vec<Signature>, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    let mut sigs = Vec::new();
-                    // Per-set signature counts within this chunk.
-                    let mut counts = Vec::with_capacity(hi.saturating_sub(lo));
-                    let mut buf = Vec::new();
-                    let mut scratch = crate::signature::SigScratch::default();
-                    for id in lo..hi {
-                        buf.clear();
-                        scheme.signatures_scratch(
-                            collection.set(crate::cast::set_id(id)),
-                            &mut scratch,
-                            &mut buf,
-                        );
-                        buf.sort_unstable();
-                        buf.dedup();
-                        sigs.extend_from_slice(&buf);
-                        counts.push(buf.len() as u64);
-                    }
-                    (sigs, counts)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    let mut sigs = Vec::with_capacity(parts.iter().map(|(s, _)| s.len()).sum());
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    let mut total = 0u64;
-    for (part_sigs, counts) in parts {
-        for c in counts {
-            total += c;
-            offsets.push(total);
-        }
-        sigs.extend_from_slice(&part_sigs);
-    }
-    SignatureTable { sigs, offsets }
-}
-
-/// Self-join candidate generation: returns `(encoded pairs, collisions)`.
-/// Pairs are encoded `(min << 32) | max` and deduplicated.
-fn self_candidates(table: &SignatureTable, n: usize, threads: usize) -> (Vec<u64>, u64) {
-    fn bucket_pairs(map: FxHashMap<Signature, Vec<SetId>>) -> (Vec<u64>, u64) {
-        let mut pairs: Vec<u64> = Vec::new();
-        let mut collisions = 0u64;
-        // Amortized in-place dedup keeps peak memory near 2× the number of
-        // *distinct* candidates instead of the raw collision count (the two
-        // differ by the average signatures shared per pair).
-        let mut dedup_at = 1 << 20;
-        for (_, ids) in map {
-            let c = ids.len() as u64;
-            if c < 2 {
-                continue;
-            }
-            collisions += c * (c - 1) / 2;
-            for i in 0..ids.len() {
-                for j in i + 1..ids.len() {
-                    let (a, b) = (ids[i], ids[j]);
-                    pairs.push(((a as u64) << 32) | b as u64);
-                }
-            }
-            if pairs.len() >= dedup_at {
-                pairs.sort_unstable();
-                pairs.dedup();
-                dedup_at = (pairs.len() * 2).max(1 << 20);
+        for id in lo..hi {
+            let id = crate::cast::set_id(id);
+            scheme.signature_set(collection.set(id), &mut scratch, &mut buf);
+            for &sig in &buf {
+                parts[shard_of(sig, shards)].push((sig, id));
             }
         }
-        (pairs, collisions)
-    }
-
-    let (mut pairs, collisions) = if threads <= 1 {
-        let mut map: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
-        for id in 0..n {
-            for &sig in table.of(id) {
-                map.entry(sig).or_default().push(crate::cast::set_id(id));
-            }
-        }
-        bucket_pairs(map)
+        parts
+    };
+    let workers: Vec<Vec<Vec<Posting>>> = if threads <= 1 || n < 1024 {
+        vec![chunk_postings(0, n)]
     } else {
-        let shards = threads as u64;
-        let results: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let mut map: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
-                        for id in 0..n {
-                            for &sig in table.of(id) {
-                                if sig % shards == shard {
-                                    map.entry(sig).or_default().push(crate::cast::set_id(id));
-                                }
-                            }
-                        }
-                        bucket_pairs(map)
-                    })
-                })
+        let chunk = n.div_ceil(threads);
+        let chunk_postings = &chunk_postings;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| scope.spawn(move || chunk_postings(t * chunk, ((t + 1) * chunk).min(n))))
                 .collect();
             handles.into_iter().map(join_worker).collect()
-        });
-        let mut pairs = Vec::new();
-        let mut collisions = 0;
-        for (p, c) in results {
-            pairs.extend_from_slice(&p);
-            collisions += c;
-        }
-        (pairs, collisions)
+        })
     };
-    pairs.sort_unstable();
-    pairs.dedup();
-    (pairs, collisions)
+    let mut out: Vec<Shard> = vec![Vec::new(); shards];
+    for parts in workers {
+        for (shard, part) in out.iter_mut().zip(parts) {
+            shard.push(part);
+        }
+    }
+    out
 }
 
-/// Binary-join candidate generation: index S, probe R.
-fn binary_candidates(
-    table_r: &SignatureTable,
-    table_s: &SignatureTable,
-    nr: usize,
-    ns: usize,
+/// Postings across all shards: the signature count `JoinStats` reports.
+fn signature_count(shards: &[Shard]) -> u64 {
+    shards.iter().flatten().map(Vec::len).sum::<usize>() as u64
+}
+
+/// Candidate generation (step 3): one worker per signature shard of
+/// [`generate_postings`] enumerates the shard's buckets whole with the
+/// sorted-run pass ([`crate::candidates`]). `right` is `None` for a
+/// self-join; otherwise its shards pair up with `left`'s. Returns the
+/// ascending distinct pairs, encoded `(a << 32) | b`, and the collision
+/// count.
+fn sorted_run_candidates(
+    left: Vec<Shard>,
+    right: Option<Vec<Shard>>,
+    threads: usize,
 ) -> (Vec<u64>, u64) {
-    let mut index: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
-    for id in 0..ns {
-        for &sig in table_s.of(id) {
-            index.entry(sig).or_default().push(crate::cast::set_id(id));
-        }
-    }
-    let mut pairs: Vec<u64> = Vec::new();
-    let mut collisions = 0u64;
-    let mut dedup_at = 1 << 20;
-    for r in 0..nr {
-        for &sig in table_r.of(r) {
-            if let Some(ids) = index.get(&sig) {
-                collisions += ids.len() as u64;
-                for &s in ids {
-                    pairs.push(((r as u64) << 32) | s as u64);
-                }
-            }
-        }
-        if pairs.len() >= dedup_at {
-            pairs.sort_unstable();
-            pairs.dedup();
-            dedup_at = (pairs.len() * 2).max(1 << 20);
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    (pairs, collisions)
+    let rights: Vec<Option<Shard>> = match right {
+        Some(shards) => shards.into_iter().map(Some).collect(),
+        None => left.iter().map(|_| None).collect(),
+    };
+    // Consumes the parts, so each shard's unsorted copy is freed early.
+    let sorted = |parts: Shard| {
+        let mut out = Vec::new();
+        bucket_sort(&parts, |p| p.0, &mut out);
+        out
+    };
+    let run = |l: Shard, r: Option<Shard>| {
+        let (l, mut pairs) = (sorted(l), Vec::new());
+        let collisions = match r {
+            None => self_run_pairs(&l, &mut pairs),
+            Some(r) => cross_run_pairs(&l, &sorted(r), &mut pairs),
+        };
+        (pairs, collisions)
+    };
+    let results: Vec<(Vec<u64>, u64)> = if threads <= 1 {
+        left.into_iter()
+            .zip(rights)
+            .map(|(l, r)| run(l, r))
+            .collect()
+    } else {
+        let run = &run;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = left
+                .into_iter()
+                .zip(rights)
+                .map(|(l, r)| scope.spawn(move || run(l, r)))
+                .collect();
+            handles.into_iter().map(join_worker).collect()
+        })
+    };
+    let collisions = results.iter().map(|(_, c)| c).sum();
+    let shards: Vec<Vec<u64>> = results.into_iter().map(|(pairs, _)| pairs).collect();
+    (distinct_pairs(&shards), collisions)
 }
 
 /// Decodes a `(min << 32) | max` candidate pair into its set ids.
@@ -420,47 +333,7 @@ pub fn self_join(
     weights: Option<&WeightMap>,
     opts: JoinOptions,
 ) -> JoinResult {
-    let mut stats = JoinStats {
-        num_sets_r: collection.len(),
-        num_sets_s: collection.len(),
-        ..Default::default()
-    };
-
-    let t0 = Instant::now();
-    let table = generate_signatures(scheme, collection, opts.threads);
-    stats.signatures_r = table.total();
-    stats.sig_gen_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let (encoded, collisions) = self_candidates(&table, collection.len(), opts.threads);
-    stats.signature_collisions = collisions;
-    stats.candidate_pairs = encoded.len() as u64;
-    stats.cand_gen_secs = t1.elapsed().as_secs_f64();
-
-    // Debug builds cross-check Theorem 1 on small inputs: an exact scheme's
-    // candidates must be a superset of the true result.
-    if !scheme.is_approximate() {
-        crate::invariants::assert_self_candidates_complete(&encoded, collection, pred, weights);
-    }
-
-    let t2 = Instant::now();
-    let mut pairs = Vec::new();
-    if opts.verify {
-        verify_with_options(
-            &encoded, collection, collection, true, pred, weights, opts, &mut stats, &mut pairs,
-        );
-    } else {
-        pairs.extend(encoded.iter().map(|&p| decode_pair(p)));
-    }
-    stats.output_pairs = pairs.len() as u64;
-    stats.false_positives = stats.candidate_pairs - stats.output_pairs;
-    stats.verify_secs = t2.elapsed().as_secs_f64();
-
-    JoinResult {
-        pairs,
-        stats,
-        approximate: scheme.is_approximate(),
-    }
+    drive(scheme, collection, None, pred, weights, opts)
 }
 
 /// Computes a binary SSJoin `R ⋈ S` under `pred` using one shared `scheme`
@@ -474,35 +347,57 @@ pub fn join(
     weights: Option<&WeightMap>,
     opts: JoinOptions,
 ) -> JoinResult {
+    drive(scheme, r, Some(s), pred, weights, opts)
+}
+
+/// Figure 2 over `left` and `right`, or `left` alone for a self-join.
+fn drive(
+    scheme: &impl SignatureScheme,
+    left: &SetCollection,
+    right: Option<&SetCollection>,
+    pred: Predicate,
+    weights: Option<&WeightMap>,
+    opts: JoinOptions,
+) -> JoinResult {
+    let other = right.unwrap_or(left);
     let mut stats = JoinStats {
-        num_sets_r: r.len(),
-        num_sets_s: s.len(),
+        num_sets_r: left.len(),
+        num_sets_s: other.len(),
         ..Default::default()
     };
 
     let t0 = Instant::now();
-    let table_r = generate_signatures(scheme, r, opts.threads);
-    let table_s = generate_signatures(scheme, s, opts.threads);
-    stats.signatures_r = table_r.total();
-    stats.signatures_s = table_s.total();
+    let postings_l = generate_postings(scheme, left, opts.threads);
+    let postings_r = right.map(|r| generate_postings(scheme, r, opts.threads));
+    stats.signatures_r = signature_count(&postings_l);
+    stats.signatures_s = postings_r.as_deref().map_or(0, signature_count);
     stats.sig_gen_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let (encoded, collisions) = binary_candidates(&table_r, &table_s, r.len(), s.len());
+    let (encoded, collisions) = sorted_run_candidates(postings_l, postings_r, opts.threads);
     stats.signature_collisions = collisions;
     stats.candidate_pairs = encoded.len() as u64;
     stats.cand_gen_secs = t1.elapsed().as_secs_f64();
 
-    // Debug builds cross-check Theorem 1 on small inputs (see self_join).
+    // Debug builds cross-check Theorem 1 on small inputs: an exact scheme's
+    // candidates must be a superset of the true result.
     if !scheme.is_approximate() {
-        crate::invariants::assert_binary_candidates_complete(&encoded, r, s, pred, weights);
+        match right {
+            None => {
+                crate::invariants::assert_self_candidates_complete(&encoded, left, pred, weights)
+            }
+            Some(r) => crate::invariants::assert_binary_candidates_complete(
+                &encoded, left, r, pred, weights,
+            ),
+        }
     }
 
     let t2 = Instant::now();
     let mut pairs = Vec::new();
     if opts.verify {
+        let same = right.is_none();
         verify_with_options(
-            &encoded, r, s, false, pred, weights, opts, &mut stats, &mut pairs,
+            &encoded, left, other, same, pred, weights, opts, &mut stats, &mut pairs,
         );
     } else {
         pairs.extend(encoded.iter().map(|&p| decode_pair(p)));
@@ -521,6 +416,7 @@ pub fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FxHashMap;
     use crate::partenum::PartEnumJaccard;
     use crate::similarity::jaccard;
     use rand::prelude::*;
@@ -560,6 +456,63 @@ mod tests {
             sets.push(dup);
         }
         sets.into_iter().collect()
+    }
+
+    /// The bucketing the sorted runs replaced: a hash map from signature to
+    /// posting list, enumerated bucket by bucket (`right` indexed, `left`
+    /// probing it for a binary join).
+    fn reference_candidates(left: &[Posting], right: Option<&[Posting]>) -> (Vec<u64>, u64) {
+        let mut buckets: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
+        for &(sig, id) in right.unwrap_or(left) {
+            buckets.entry(sig).or_default().push(id);
+        }
+        let (mut pairs, mut collisions) = (Vec::new(), 0u64);
+        if right.is_none() {
+            for ids in buckets.values() {
+                collisions += (ids.len() * ids.len().saturating_sub(1) / 2) as u64;
+                for (i, &a) in ids.iter().enumerate() {
+                    for &b in &ids[i + 1..] {
+                        pairs.push(((a.min(b) as u64) << 32) | a.max(b) as u64);
+                    }
+                }
+            }
+        } else {
+            for &(sig, a) in left {
+                let ids = buckets.get(&sig).map_or(&[][..], Vec::as_slice);
+                collisions += ids.len() as u64;
+                pairs.extend(ids.iter().map(|&b| ((a as u64) << 32) | b as u64));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        (pairs, collisions)
+    }
+
+    #[test]
+    fn sorted_runs_match_hash_bucketing() {
+        let r = small_random_collection(11, 900);
+        let s = small_random_collection(12, 300);
+        let max_len = r.max_set_len().max(s.max_set_len());
+        let scheme = PartEnumJaccard::new(0.6, max_len, 3).unwrap();
+        let flat = |c: &SetCollection| generate_postings(&scheme, c, 1).concat().concat();
+        let want_self = reference_candidates(&flat(&r), None);
+        let want_cross = reference_candidates(&flat(&r), Some(&flat(&s)));
+        assert!(want_self.1 > want_self.0.len() as u64, "buckets too short");
+        assert!(!want_cross.0.is_empty());
+        for threads in [1, 4] {
+            let pr = generate_postings(&scheme, &r, threads);
+            let ps = generate_postings(&scheme, &s, threads);
+            assert_eq!(
+                sorted_run_candidates(pr.clone(), None, threads),
+                want_self,
+                "self, threads={threads}"
+            );
+            assert_eq!(
+                sorted_run_candidates(pr, Some(ps), threads),
+                want_cross,
+                "binary, threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! | [`predicate`] | §2, §6 | [`Predicate`] with size/hamming bounds |
 //! | [`signature`] | §3 | the [`SignatureScheme`] trait |
 //! | [`join`] | §3, Fig. 2 | the shared join driver |
+//! | [`candidates`] | §3 step 3 | sort-based candidate enumeration |
 //! | [`verify`] | §3 step 4 | pluggable verification, bitmap filter |
 //! | [`partenum`] | §4–6 | PartEnum (hamming, jaccard, general) |
 //! | [`wtenum`] | §7 | WtEnum and its weighted-jaccard wrapper |
@@ -53,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+pub mod candidates;
 pub mod cast;
 pub mod error;
 pub mod hash;
@@ -73,8 +75,7 @@ pub mod wtenum;
 
 pub use error::{Result, SsjError};
 pub use index::{
-    content_hash_of, shard_of, ContentHashPlacement, JaccardIndex, Placement, SigPostings,
-    SimilarityIndex,
+    content_hash_of, shard_of, ContentHashPlacement, JaccardIndex, Placement, SimilarityIndex,
 };
 pub use join::{join, self_join, JoinOptions, JoinResult};
 pub use partenum::{GeneralPartEnum, PartEnumHamming, PartEnumJaccard, PartEnumParams};

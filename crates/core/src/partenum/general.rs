@@ -17,12 +17,19 @@
 
 use super::hamming::PartEnumHamming;
 use super::intervals::SizeIntervals;
+use super::optimize::{cheapest, even_sample, route_by_interval};
 use super::params::PartEnumParams;
 use crate::error::{Result, SsjError};
 use crate::hash::SigBuilder;
 use crate::predicate::Predicate;
-use crate::set::ElementId;
+use crate::set::{ElementId, SetCollection};
 use crate::signature::{Signature, SignatureScheme};
+
+/// About how many sets [`GeneralPartEnum::optimized`] samples.
+const OPTIMIZER_SAMPLE: usize = 2_000;
+/// Cap on signatures per set an optimized instance may spend (at least
+/// `k + 1`, so every threshold has a candidate).
+const OPTIMIZER_MAX_SIGS: usize = 256;
 
 #[derive(Debug, Clone)]
 enum Structure {
@@ -153,6 +160,38 @@ impl GeneralPartEnum {
                 instances,
             },
         })
+    }
+
+    /// Builds with every instance's `(n1, n2)` chosen by the Section 3.2
+    /// cost model (Section 8, Table 1): [`super::estimate_cost`] of each
+    /// candidate on the evenly sampled sets the instance would sign,
+    /// scaled to the full input; the cheapest wins, never a fallback to
+    /// [`PartEnumParams::default_for`]. `collections` are the join's
+    /// inputs (one for a self-join).
+    pub fn optimized(pred: Predicate, collections: &[&SetCollection], seed: u64) -> Result<Self> {
+        let max_len = collections.iter().map(|c| c.max_set_len()).max();
+        let mut scheme = Self::new(pred, max_len.unwrap_or(0).max(1), seed)?;
+        let (sample, scale) = even_sample(collections, OPTIMIZER_SAMPLE);
+        let (instances, routed) = match &mut scheme.structure {
+            Structure::Single(instance) => (std::slice::from_mut(instance), vec![sample]),
+            Structure::Intervals {
+                intervals,
+                instances,
+            } => (
+                instances.as_mut_slice(),
+                route_by_interval(intervals, &sample),
+            ),
+        };
+        for (instance, sets) in instances.iter_mut().zip(&routed) {
+            let k = instance.k();
+            let max_sigs = OPTIMIZER_MAX_SIGS.max(k + 1);
+            let params = cheapest(k, sets, scale, max_sigs, |p| instance.reparameterized(p))
+                .ok_or_else(|| {
+                    SsjError::InvalidParams(format!("no (n1, n2) builds for k = {k}"))
+                })?;
+            *instance = instance.reparameterized(params)?;
+        }
+        Ok(scheme)
     }
 
     /// The predicate this scheme evaluates.
@@ -306,6 +345,66 @@ mod tests {
             }
         }
         assert!(hits < 20, "poor filtering: {hits}/200 far pairs collided");
+    }
+
+    #[test]
+    fn optimized_picks_the_cheapest_setting_for_every_instance() {
+        use crate::partenum::optimize::estimate_cost;
+        // Sets drawn from overlapping windows of a small vocabulary, so
+        // buckets are long and the cost model has collisions to trade
+        // against signatures.
+        let mut rng = StdRng::seed_from_u64(21);
+        let sets: Vec<Vec<u32>> = (0..500)
+            .map(|_| {
+                let len = rng.gen_range(4..24usize);
+                let base = rng.gen_range(0..200u32);
+                (0..len).map(|_| base + rng.gen_range(0..40u32)).collect()
+            })
+            .collect();
+        let collection: SetCollection = sets.into_iter().collect();
+        let mut default_beaten = 0;
+        for pred in [
+            Predicate::Jaccard { gamma: 0.8 },
+            Predicate::Dice { gamma: 0.85 },
+            Predicate::Cosine { gamma: 0.85 },
+            Predicate::MaxFraction { gamma: 0.8 },
+            Predicate::Hamming { k: 4 },
+        ] {
+            let scheme = GeneralPartEnum::optimized(pred, &[&collection], 7).unwrap();
+            let (sample, scale) = even_sample(&[&collection], OPTIMIZER_SAMPLE);
+            let (instances, routed) = match &scheme.structure {
+                Structure::Single(instance) => (std::slice::from_ref(instance), vec![sample]),
+                Structure::Intervals {
+                    intervals,
+                    instances,
+                } => (instances.as_slice(), route_by_interval(intervals, &sample)),
+            };
+            for (slot, (instance, sets)) in instances.iter().zip(&routed).enumerate() {
+                let k = instance.k();
+                let cost = |p| estimate_cost(&instance.reparameterized(p).unwrap(), sets, scale);
+                let best = PartEnumParams::candidates(k, OPTIMIZER_MAX_SIGS.max(k + 1))
+                    .into_iter()
+                    .map(cost)
+                    .fold(f64::INFINITY, f64::min);
+                let chosen = instance.params();
+                assert_eq!(
+                    cost(chosen),
+                    best,
+                    "{pred:?} instance {slot}: {chosen:?} not cheapest"
+                );
+                // No silent fallback: where the default costs more, it is
+                // never what the instance got.
+                let default = PartEnumParams::default_for(k);
+                if cost(default) > best {
+                    assert_ne!(chosen, default, "{pred:?} instance {slot} fell back");
+                    default_beaten += 1;
+                }
+            }
+        }
+        assert!(
+            default_beaten > 0,
+            "workload never separated optimum from default"
+        );
     }
 
     #[test]

@@ -64,6 +64,14 @@ impl PartEnumHamming {
         Ok(Self::build(k, params, seed, tag))
     }
 
+    /// This instance — same threshold, partitioner, and tag — with other
+    /// parameters (what the cost-model optimizer tries).
+    pub fn reparameterized(&self, params: PartEnumParams) -> Result<Self> {
+        let mut next = Self::with_tag(self.k, params, 0, self.tag)?;
+        next.partitioner = self.partitioner;
+        Ok(next)
+    }
+
     /// Constructs without validation; callers guarantee `params` is valid
     /// for `k`.
     fn build(k: usize, params: PartEnumParams, seed: u64, tag: u64) -> Self {

@@ -11,38 +11,106 @@
 use super::hamming::PartEnumHamming;
 use super::intervals::SizeIntervals;
 use super::params::PartEnumParams;
+use crate::error::Result;
 use crate::hash::FxHashMap;
 use crate::set::{ElementId, SetCollection};
-use crate::signature::SignatureScheme;
+use crate::signature::{SigScratch, SignatureScheme};
 
 /// Estimated cost of running a signature scheme over a full input of
 /// `scale ×` the sample, using the Section 3.2 expression:
 /// `Σ|Sign(r)| + Σ|Sign(s)| + Σ|Sign(r) ∩ Sign(s)|`.
 ///
-/// Signature counts scale linearly with input size; signature *collisions*
-/// scale quadratically (each bucket of colliding signatures grows linearly,
-/// and pairs within it quadratically) — exactly the effect Table 1
-/// compensates for.
+/// Signatures are counted per set as the join driver counts them
+/// ([`SignatureScheme::signature_set`]), so at `scale = 1` the estimate
+/// equals the driver's `2·signatures + collisions` on the same sets.
+/// Signature counts scale linearly with input size; signature
+/// *collisions* scale quadratically
+/// (each bucket of colliding signatures grows linearly, and pairs within
+/// it quadratically) — exactly the effect Table 1 compensates for.
 pub fn estimate_cost(scheme: &impl SignatureScheme, sample: &[&[ElementId]], scale: f64) -> f64 {
-    let mut buckets: FxHashMap<u64, u64> = FxHashMap::default();
-    let mut total_sigs = 0u64;
+    let mut sigs = Vec::new();
     let mut buf = Vec::new();
+    let mut scratch = SigScratch::default();
     for set in sample {
-        buf.clear();
-        scheme.signatures_into(set, &mut buf);
-        total_sigs += buf.len() as u64;
-        for &sig in &buf {
-            *buckets.entry(sig).or_insert(0) += 1;
+        scheme.signature_set(set, &mut scratch, &mut buf);
+        sigs.extend_from_slice(&buf);
+    }
+    sigs.sort_unstable();
+    let runs = sigs.chunk_by(|a, b| a == b);
+    let collisions = runs
+        .map(|run| run.len() * (run.len() - 1) / 2)
+        .sum::<usize>() as f64;
+    2.0 * sigs.len() as f64 * scale + collisions * scale * scale
+}
+
+/// The candidate `(n1, n2)` for threshold `k` (at most `max_sigs`
+/// signatures per set) whose instance, as `build` constructs it, has the
+/// lowest [`estimate_cost`] on `sample`; ties keep the setting with fewer
+/// signatures. `None` only when no candidate builds.
+pub(crate) fn cheapest(
+    k: usize,
+    sample: &[&[ElementId]],
+    scale: f64,
+    max_sigs: usize,
+    build: impl Fn(PartEnumParams) -> Result<PartEnumHamming>,
+) -> Option<PartEnumParams> {
+    let mut best: Option<(PartEnumParams, f64)> = None;
+    for params in PartEnumParams::candidates(k, max_sigs) {
+        // Candidates ascend in signatures per set, and an instance gives
+        // every set exactly that many (distinct up to 64-bit hash
+        // collisions), so once the signature term alone exceeds the best
+        // cost no later candidate can win.
+        let sigs = params.signatures_per_vector(k).unwrap_or(usize::MAX) as f64;
+        if best.is_some_and(|(_, best_cost)| 2.0 * sigs * sample.len() as f64 * scale > best_cost) {
+            break;
+        }
+        let Ok(scheme) = build(params) else {
+            continue;
+        };
+        let cost = estimate_cost(&scheme, sample, scale);
+        if best.is_none_or(|(_, best_cost)| cost < best_cost) {
+            best = Some((params, cost));
         }
     }
-    let collisions: f64 = buckets
-        .values()
-        .map(|&c| {
-            let c = c as f64;
-            c * (c - 1.0) / 2.0
+    best.map(|(params, _)| params)
+}
+
+/// An evenly spaced sample of about `cap` sets across `collections`, and
+/// the scale (input sets per sampled set) that projects sample costs onto
+/// the whole input.
+pub(crate) fn even_sample<'a>(
+    collections: &[&'a SetCollection],
+    cap: usize,
+) -> (Vec<&'a [ElementId]>, f64) {
+    let total: usize = collections.iter().map(|c| c.len()).sum();
+    let step = (total / cap.max(1)).max(1);
+    let sample = collections
+        .iter()
+        .flat_map(|c| {
+            (0..c.len())
+                .step_by(step)
+                .map(|id| c.set(crate::cast::set_id(id)))
         })
-        .sum();
-    2.0 * total_sigs as f64 * scale + collisions * scale * scale
+        .collect();
+    (sample, step as f64)
+}
+
+/// The sets of `sample` each interval's instance signs, by 0-based
+/// instance: Figure 6 routes a set in interval `j` to instances `j` and
+/// `j + 1` (1-based); the empty set reaches none.
+pub(crate) fn route_by_interval<'a>(
+    intervals: &SizeIntervals,
+    sample: &[&'a [ElementId]],
+) -> Vec<Vec<&'a [ElementId]>> {
+    let mut routed = vec![Vec::new(); intervals.count()];
+    for &set in sample {
+        if let Ok(j) = intervals.interval_of(set.len()) {
+            for sets in routed.iter_mut().skip(j - 1).take(2) {
+                sets.push(set);
+            }
+        }
+    }
+    routed
 }
 
 /// Picks the `(n1, n2)` minimizing estimated cost for a *hamming* SSJoin
@@ -55,31 +123,21 @@ pub fn optimize_hamming(
     max_sigs: usize,
     seed: u64,
 ) -> PartEnumParams {
-    let scale = if sample.is_empty() {
-        1.0
-    } else {
-        total_inputs as f64 / sample.len() as f64
-    };
-    let mut best = PartEnumParams::default_for(k);
-    let mut best_cost = f64::INFINITY;
-    for params in PartEnumParams::candidates(k, max_sigs) {
-        let Ok(scheme) = PartEnumHamming::new(k, params, seed) else {
-            continue;
-        };
-        let cost = estimate_cost(&scheme, sample, scale);
-        if cost < best_cost {
-            best_cost = cost;
-            best = params;
-        }
-    }
-    best
+    let scale = total_inputs as f64 / sample.len().max(1) as f64;
+    cheapest(k, sample, scale, max_sigs, |params| {
+        PartEnumHamming::new(k, params, seed)
+    })
+    .unwrap_or_else(|| PartEnumParams::default_for(k))
 }
 
-/// Per-instance parameter optimization for a *jaccard* SSJoin: samples the
-/// collection, routes sample sets to their size intervals, optimizes each
-/// instance's hamming parameters on the sets it will actually see, and
-/// returns a `k → (n1, n2)` function usable with
-/// [`super::jaccard::PartEnumJaccard::with_params`].
+/// Per-threshold parameter optimization for the dedicated
+/// [`super::jaccard::PartEnumJaccard`]: samples the collection, routes
+/// sample sets to their size intervals, optimizes the first instance of
+/// each hamming threshold on the sets it will see, and returns a
+/// `k → (n1, n2)` function for
+/// [`super::jaccard::PartEnumJaccard::with_params`]. Thresholds no sampled
+/// set reaches keep [`PartEnumParams::default_for`];
+/// [`super::GeneralPartEnum::optimized`] instead costs every instance.
 pub fn optimize_jaccard(
     gamma: f64,
     collection: &SetCollection,
@@ -87,44 +145,17 @@ pub fn optimize_jaccard(
     sample_cap: usize,
     seed: u64,
 ) -> impl Fn(usize) -> PartEnumParams {
-    let max_len = collection.max_set_len();
-    let intervals = SizeIntervals::new(gamma, max_len.max(1) + 1);
-    // Evenly spaced sample.
-    let n = collection.len();
-    let step = (n / sample_cap.max(1)).max(1);
-    // Route each sampled set to the instances that will process it
-    // (interval i and i+1, mirroring Figure 6).
-    let mut routed: FxHashMap<usize, Vec<&[ElementId]>> = FxHashMap::default();
-    for id in (0..n).step_by(step) {
-        let set = collection.set(crate::cast::set_id(id));
-        if set.is_empty() {
+    let intervals = SizeIntervals::new(gamma, collection.max_set_len().max(1) + 1);
+    let (sample, scale_base) = even_sample(&[collection], sample_cap);
+    let mut by_k: FxHashMap<usize, PartEnumParams> = FxHashMap::default();
+    for (i, sets) in route_by_interval(&intervals, &sample).iter().enumerate() {
+        if sets.is_empty() {
             continue;
         }
-        // Intervals were sized from this collection's max length, so every
-        // sampled set is covered; skip defensively rather than panic.
-        let Ok(i) = intervals.interval_of(set.len()) else {
-            continue;
-        };
-        routed.entry(i).or_default().push(set);
-        routed.entry(i + 1).or_default().push(set);
-    }
-    let scale_base = step as f64;
-    let mut by_k: FxHashMap<usize, PartEnumParams> = FxHashMap::default();
-    for i in 1..=intervals.count() {
-        let k = intervals.hamming_threshold(i);
-        let Some(sets) = routed.get(&i) else { continue };
-        // Instances sharing a hamming threshold see similarly sized sets;
-        // first (smallest) instance wins, which is also the most populated
-        // in typical skewed size distributions.
-        by_k.entry(k).or_insert_with(|| {
-            optimize_hamming(
-                k,
-                sets,
-                (sets.len() as f64 * scale_base) as usize,
-                max_sigs,
-                seed,
-            )
-        });
+        let k = intervals.hamming_threshold(i + 1);
+        let total = (sets.len() as f64 * scale_base) as usize;
+        by_k.entry(k)
+            .or_insert_with(|| optimize_hamming(k, sets, total, max_sigs, seed));
     }
     move |k: usize| {
         by_k.get(&k)
@@ -167,6 +198,39 @@ mod tests {
         // Scale 2: sigs double, collisions quadruple.
         let cost2 = estimate_cost(&Const, &refs, 2.0);
         assert!((cost2 - (2.0 * 6.0 + 12.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn estimate_matches_driver_counts_at_unit_scale() {
+        use crate::join::{self_join, JoinOptions};
+        use crate::partenum::PartEnumJaccard;
+        use crate::predicate::Predicate;
+        // Folding elements mod 7 emits duplicate signatures within a set;
+        // the driver counts each once per set, so the estimate must too.
+        struct Folded;
+        impl SignatureScheme for Folded {
+            fn signatures_into(&self, set: &[u32], out: &mut Vec<u64>) {
+                out.extend(set.iter().map(|&e| u64::from(e % 7)));
+            }
+        }
+        let sets = uniform_sets(80, 12, 300, 9);
+        let refs: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
+        let collection: SetCollection = sets.iter().cloned().collect();
+        let gamma = 0.7;
+        let pred = Predicate::Jaccard { gamma };
+        let partenum = PartEnumJaccard::new(gamma, collection.max_set_len(), 3).unwrap();
+        let check = |scheme: &dyn SignatureScheme| {
+            let stats = self_join(&scheme, &collection, pred, None, JoinOptions::default()).stats;
+            let driver = 2.0 * stats.signatures_r as f64 + stats.signature_collisions as f64;
+            assert_eq!(
+                estimate_cost(&scheme, &refs, 1.0),
+                driver,
+                "{}",
+                scheme.name()
+            );
+        };
+        check(&Folded);
+        check(&partenum);
     }
 
     #[test]

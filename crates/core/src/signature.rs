@@ -80,6 +80,16 @@ pub trait SignatureScheme: Send + Sync {
         self.signatures_into(set, out);
     }
 
+    /// Writes `set`'s signatures into `out` (cleared first), sorted and
+    /// deduplicated: the per-set form the join driver, the extern executor
+    /// and the cost model all count, so their counts agree.
+    fn signature_set(&self, set: &[ElementId], scratch: &mut SigScratch, out: &mut Vec<Signature>) {
+        out.clear();
+        self.signatures_scratch(set, scratch, out);
+        out.sort_unstable();
+        out.dedup();
+    }
+
     /// Convenience wrapper returning a fresh vector.
     fn signatures(&self, set: &[ElementId]) -> Vec<Signature> {
         // hotlint: allow(hot-scratch, fn): convenience wrapper for tests and one-shot callers — hot paths thread SigScratch through signatures_scratch.

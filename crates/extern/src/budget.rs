@@ -2,7 +2,7 @@
 //!
 //! The executor never asks the allocator how much it used: every
 //! long-lived buffer (decoded block, spill batches, partition posting
-//! map, verification block cache) is *charged* against a ledger with a
+//! buffer, verification block cache) is *charged* against a ledger with a
 //! size computed deterministically from element counts. That makes the
 //! reported peak exactly reproducible run-to-run — `benchdiff` diffs it
 //! as an exact counter — and makes "the accounted resident set stays

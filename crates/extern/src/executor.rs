@@ -9,10 +9,11 @@
 //! 2. **Spill** — stream again, hash-ranging every `(signature, id)`
 //!    posting into its partition file ([`crate::spill`]). Every
 //!    occurrence of a signature lands in the same partition.
-//! 3. **Probe** — per partition: rebuild the posting map
-//!    ([`ssj_core::SigPostings`]), enumerate bucket pairs with the
-//!    zero-alloc [`probe_partition`] loop, and merge candidates with the
-//!    same amortized global dedup the in-memory driver uses.
+//! 3. **Probe** — per partition: reload the partition's postings into
+//!    one reused buffer, sort it in place and enumerate equal-signature
+//!    runs with the zero-alloc [`probe_partition`] loop — the in-memory
+//!    driver's sorted-run pass ([`ssj_core::candidates`]) — merging
+//!    candidates under the same amortized dedup.
 //! 4. **Verify** — walk the globally sorted candidate list, fetching
 //!    sets back out of the segment through a budget-capped
 //!    [`crate::segment::BlockCache`], and keep pairs the predicate
@@ -27,29 +28,25 @@
 use crate::budget::MemBudget;
 use crate::segment::{BlockCache, Segment, SegmentBlock};
 use crate::spill::{partition_of, read_partition, remove_partitions, SpillWriter};
+use ssj_core::candidates::{distinct_pairs, self_run_pairs, Posting};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::{SetId, WeightMap};
 use ssj_core::signature::{SigScratch, Signature, SignatureScheme};
 use ssj_core::verify::BitmapIndex;
-use ssj_core::SigPostings;
 use std::io::{self, ErrorKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Deterministic worst-case charge per spilled posting once it is loaded
-/// into a [`SigPostings`] map (every signature distinct: one 48-byte
-/// entry plus a 4-byte posting, rounded up). Partition sizing divides
-/// the index half of the budget by this.
+/// Charge per spilled posting for partition sizing, which divides the
+/// index half of the budget by this. A loaded posting takes 16 bytes
+/// (`size_of::<Posting>()`, the amount the ledger charges); 56 is a sound
+/// upper bound that keeps partition counts stable for a given scheme.
 const POSTING_BYTES: u64 = 56;
 
 /// Hard ceiling on partitions — beyond this, per-partition batch buffers
 /// dominate and more fan-out stops helping.
 const MAX_PARTITIONS: u64 = 4096;
-
-/// Start the amortized candidate dedup at the same point the in-memory
-/// driver does.
-const DEDUP_AT: usize = 1 << 20;
 
 static SPILL_DIR_SALT: AtomicU64 = AtomicU64::new(0);
 
@@ -127,32 +124,13 @@ pub struct ExternStats {
     pub verify_secs: f64,
 }
 
-/// Enumerates candidate pairs from one partition's posting map.
-///
-/// The hot loop of the external join (registered in hotlint's
-/// `HOT_ROOTS`): for every bucket with ≥ 2 postings it pushes all
-/// `id_i < id_j` pairs packed as `(a << 32) | b`, exactly like the
-/// in-memory driver's bucket enumeration. Posting lists are ascending
-/// by construction (spill pass streams ids in ascending segment order),
-/// so `i < j` implies `id_i < id_j`. Returns the bucket collision count
-/// Σ c·(c−1)/2. Steady-state allocation-free once `pairs` has warmed
-/// (pinned by this crate's alloc witness).
-pub fn probe_partition(postings: &SigPostings, pairs: &mut Vec<u64>) -> u64 {
-    let mut collisions = 0u64;
-    for list in postings.lists() {
-        let c = list.len();
-        if c < 2 {
-            continue;
-        }
-        collisions += (c as u64) * (c as u64 - 1) / 2;
-        for i in 0..c - 1 {
-            let a = u64::from(list[i]) << 32;
-            for &b in &list[i + 1..] {
-                pairs.push(a | u64::from(b));
-            }
-        }
-    }
-    collisions
+/// The external join's hot loop (a hotlint `HOT_ROOT`): sorts one
+/// partition in place and enumerates its runs with the in-memory driver's
+/// [`self_run_pairs`]; returns the collision count. Allocation-free once
+/// `pairs` has warmed (pinned by this crate's alloc witness).
+pub fn probe_partition(postings: &mut [Posting], pairs: &mut Vec<u64>) -> u64 {
+    postings.sort_unstable();
+    self_run_pairs(postings, pairs)
 }
 
 /// Deterministic per-set charge for the verify pass's bitmap table:
@@ -278,18 +256,17 @@ pub fn external_self_join<S: SignatureScheme>(
                     ),
                 ));
             }
-            sigs.clear();
-            scheme.signatures_scratch(block.set(i), &mut scratch, &mut sigs);
-            sigs.sort_unstable();
-            sigs.dedup();
+            scheme.signature_set(block.set(i), &mut scratch, &mut sigs);
             total_sigs += sigs.len() as u64;
         }
     }
     stats.signatures = total_sigs;
     stats.sig_secs = t0.elapsed().as_secs_f64();
 
-    // Partition count: posting maps get half the budget; one partition's
-    // worst-case map is total/P × POSTING_BYTES.
+    // Partition count: partition buffers get half the budget; one
+    // partition holds about total/P postings, charged POSTING_BYTES each
+    // here — 3.5× the 16 bytes the probe pass charges, slack that absorbs
+    // uneven hash ranging.
     let index_budget = (cfg.mem_budget / 2).max(1);
     let want = total_sigs
         .saturating_mul(POSTING_BYTES)
@@ -344,10 +321,7 @@ pub fn external_self_join<S: SignatureScheme>(
                 if let Some(t) = table.as_mut() {
                     t.push(id, block.set(i));
                 }
-                sigs.clear();
-                scheme.signatures_scratch(block.set(i), &mut scratch, &mut sigs);
-                sigs.sort_unstable();
-                sigs.dedup();
+                scheme.signature_set(block.set(i), &mut scratch, &mut sigs);
                 for &sig in &sigs {
                     writer.push(partition_of(sig, partitions), sig, id)?;
                 }
@@ -372,10 +346,9 @@ pub fn external_self_join<S: SignatureScheme>(
     let run = |budget: &mut MemBudget, stats: &mut ExternStats| -> io::Result<Vec<u64>> {
         // Pass 3: probe one partition at a time.
         let t2 = Instant::now();
-        let mut postings = SigPostings::new();
+        let mut postings: Vec<Posting> = Vec::new();
         let mut postings_charged = 0u64;
         let mut pairs: Vec<u64> = Vec::new();
-        let mut dedup_at = DEDUP_AT;
         let mut collisions = 0u64;
         for part in 0..partitions {
             postings.clear();
@@ -384,20 +357,14 @@ pub fn external_self_join<S: SignatureScheme>(
             charge_high_water(
                 budget,
                 &mut postings_charged,
-                postings.approx_bytes(),
+                (postings.len() * std::mem::size_of::<Posting>()) as u64,
                 "postings",
             )?;
-            collisions += probe_partition(&postings, &mut pairs);
-            if pairs.len() >= dedup_at {
-                pairs.sort_unstable();
-                pairs.dedup();
-                dedup_at = (pairs.len() * 2).max(DEDUP_AT);
-            }
+            collisions += probe_partition(&mut postings, &mut pairs);
         }
         drop(postings);
         budget.release(postings_charged);
-        pairs.sort_unstable();
-        pairs.dedup();
+        let pairs = distinct_pairs(&[pairs]);
         stats.collisions = collisions;
         stats.candidates = pairs.len() as u64;
         stats.probe_secs = t2.elapsed().as_secs_f64();

@@ -6,8 +6,8 @@
 //! input lives in a read-only, CRC-checked **segment** file
 //! ([`segment`]), signatures are hash-ranged into on-disk **spill
 //! partitions** sized to a byte budget ([`spill`]), and a streaming
-//! **executor** ([`executor`]) loads one partition's posting map at a
-//! time, probes it with the zero-alloc hot loop
+//! **executor** ([`executor`]) loads one partition's postings at a
+//! time, sorts and probes them with the zero-alloc hot loop
 //! [`executor::probe_partition`], and merges per-partition candidates
 //! with a global dedup.
 //!

@@ -15,10 +15,10 @@
 //! crash mid-spill leaves files that `ssj-store` recovery already sweeps
 //! (`cargo xtask crashtest` pins this).
 
+use ssj_core::candidates::Posting;
 use ssj_core::hash::mix64;
 use ssj_core::set::SetId;
 use ssj_core::signature::Signature;
-use ssj_core::SigPostings;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, ErrorKind};
 use std::path::{Path, PathBuf};
@@ -75,11 +75,6 @@ impl SpillWriter {
         Ok(Self { parts, batch_bytes })
     }
 
-    /// Number of partitions.
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Appends one `(sig, id)` posting to partition `part`.
     pub fn push(&mut self, part: usize, sig: Signature, id: SetId) -> io::Result<()> {
         let p = &mut self.parts[part];
@@ -112,13 +107,12 @@ impl SpillWriter {
     }
 }
 
-/// Streams one partition file into `postings`, returning
-/// `(records, file_bytes)`. Torn or corrupt frames are hard errors —
-/// see the module docs for why spill damage must never be tolerated.
-pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u64, u64)> {
+/// Streams one partition file onto the end of `postings`. Torn or
+/// corrupt frames are hard errors — see the module docs for why spill
+/// damage must never be tolerated.
+pub fn read_partition(path: &Path, postings: &mut Vec<Posting>) -> io::Result<()> {
     let file = File::open(path)?;
     let mut reader = FrameReader::new(BufReader::new(file));
-    let mut records = 0u64;
     loop {
         match reader.next_frame()? {
             Frame::Payload(batch) => {
@@ -132,11 +126,10 @@ pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u6
                             "spill posting id overflows the u32 set-id domain",
                         )
                     })?;
-                    postings.insert(sig, id);
-                    records += 1;
+                    postings.push((sig, id));
                 }
             }
-            Frame::CleanEof => break,
+            Frame::CleanEof => return Ok(()),
             Frame::Torn { offset } => {
                 return Err(io::Error::new(
                     ErrorKind::InvalidData,
@@ -154,7 +147,6 @@ pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u6
             }
         }
     }
-    Ok((records, reader.valid_prefix()))
 }
 
 /// Removes the spill files `SpillWriter::create_at` made under `dir`, then
@@ -196,20 +188,12 @@ mod tests {
         assert_eq!(records, postings.len() as u64);
         assert!(bytes > 0);
 
-        let mut map = SigPostings::new();
+        let mut buf = Vec::new();
         for (p, exp) in expected.iter().enumerate() {
-            map.clear();
-            let (n, _) = read_partition(&dir.join(partition_file_name(p)), &mut map).unwrap();
-            assert_eq!(n, exp.len() as u64);
-            assert_eq!(map.postings(), exp.len());
-            let distinct: std::collections::BTreeSet<Signature> =
-                exp.iter().map(|&(s, _)| s).collect();
-            assert_eq!(map.len(), distinct.len());
-            let mut ids_got: Vec<SetId> = map.lists().flatten().copied().collect();
-            let mut ids_exp: Vec<SetId> = exp.iter().map(|&(_, id)| id).collect();
-            ids_got.sort_unstable();
-            ids_exp.sort_unstable();
-            assert_eq!(ids_got, ids_exp);
+            buf.clear();
+            read_partition(&dir.join(partition_file_name(p)), &mut buf).unwrap();
+            // Postings come back in the order they were pushed.
+            assert_eq!(&buf, exp);
         }
         remove_partitions(&dir, parts).unwrap();
         assert!(!dir.exists(), "spill dir should be removed when empty");
@@ -227,8 +211,7 @@ mod tests {
         let path = dir.join(partition_file_name(0));
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let mut map = SigPostings::new();
-        let err = read_partition(&path, &mut map).unwrap_err();
+        let err = read_partition(&path, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         remove_partitions(&dir, 1).unwrap();
     }

@@ -7,16 +7,16 @@
 //!
 //! Two witnesses:
 //! * `probe_partition` — the per-partition candidate enumeration hotlint
-//!   registers as a hot root;
-//! * `SigPostings` reload — `clear()` + full reinsert, the once-per-
-//!   partition rebuild, which must recycle list and table capacity.
+//!   registers as a hot root, including its in-place sort of an unsorted
+//!   partition;
+//! * partition-buffer reload — `clear()` + full refill, the once-per-
+//!   partition rebuild, which must reuse the buffer's capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use ssj_core::signature::Signature;
-use ssj_core::SigPostings;
+use ssj_core::candidates::Posting;
 use ssj_extern::probe_partition;
 
 // --- counting allocator -------------------------------------------------
@@ -83,10 +83,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `count` postings over `buckets` distinct signatures, ids ascending per
-/// bucket (the spill reader's arrival order). Small bucket count keeps
-/// lists long, so the pair enumeration does real work.
-fn postings_stream(count: usize, buckets: u64, seed: u64) -> Vec<(Signature, u32)> {
+/// `count` distinct postings over `buckets` signatures, in arrival
+/// (unsorted) order. Small bucket count keeps runs long, so the pair
+/// enumeration does real work.
+fn postings_stream(count: usize, buckets: u64, seed: u64) -> Vec<Posting> {
     let mut state = seed;
     let mut next_id = 0u32;
     (0..count)
@@ -103,74 +103,40 @@ fn postings_stream(count: usize, buckets: u64, seed: u64) -> Vec<(Signature, u32
 #[test]
 fn warmed_partition_probe_allocates_nothing() {
     let stream = postings_stream(4_000, 300, 0x5eed_0e01);
-    let mut postings = SigPostings::new();
-    for &(sig, id) in &stream {
-        postings.insert(sig, id);
-    }
-
+    let mut postings = stream.clone();
     let mut pairs: Vec<u64> = Vec::new();
-    let warm_collisions = probe_partition(&postings, &mut pairs);
-    let warm_pairs = pairs.len();
-    assert!(warm_pairs > 0, "warm-up enumerated no candidate pairs");
+    let warm_collisions = probe_partition(&mut postings, &mut pairs);
+    assert!(warm_collisions > 0, "warm-up enumerated no candidate pairs");
 
-    let (allocs, (collisions, count)) = count_allocs(|| {
+    // Reload the unsorted arrival order so the measured pass sorts for
+    // real, then probe under the counter.
+    postings.clear();
+    postings.extend_from_slice(&stream);
+    let (allocs, collisions) = count_allocs(|| {
         pairs.clear();
-        let c = probe_partition(black_box(&postings), &mut pairs);
-        (c, pairs.len())
+        probe_partition(black_box(&mut postings), &mut pairs)
     });
-    assert_eq!(collisions, warm_collisions);
     assert_eq!(
-        count, warm_pairs,
+        collisions, warm_collisions,
         "steady-state pass must repeat the warm-up"
     );
     assert_steady_state("probe_partition", allocs);
 }
 
 #[test]
-fn warmed_postings_reload_allocates_nothing() {
+fn warmed_partition_reload_allocates_nothing() {
     let stream = postings_stream(4_000, 300, 0x5eed_0e02);
-    let mut postings = SigPostings::new();
+    let mut postings: Vec<Posting> = Vec::new();
+    postings.extend_from_slice(&stream);
 
-    // Warm-up: rebuild cycles until one completes with zero allocations.
-    // Recycled lists travel a fixed permutation of buckets cycle-to-cycle
-    // (clear pushes in map-iteration order, reinsert pops LIFO), so a
-    // list's capacity reaches a bucket's need only when its orbit visits
-    // that bucket: convergence is guaranteed, but takes up to orbit-length
-    // cycles — bounded by the number of distinct signatures.
-    for &(sig, id) in &stream {
-        postings.insert(sig, id);
-    }
-    let warm_len = postings.len();
-    let warm_postings = postings.postings();
-    let max_cycles = warm_len + 8;
-    let mut converged = false;
-    for _ in 0..max_cycles {
-        let (allocs, ()) = count_allocs(|| {
-            postings.clear();
-            for &(sig, id) in &stream {
-                postings.insert(sig, id);
-            }
-        });
-        if allocs == 0 {
-            converged = true;
-            break;
-        }
-    }
-    assert!(
-        converged,
-        "SigPostings reload never reached an allocation-free cycle \
-         within {max_cycles} rebuilds"
-    );
-
-    // Steady state: once converged, every further rebuild stays at zero.
-    let (allocs, (len, total)) = count_allocs(|| {
+    // Steady state: a refill of the same size reuses the capacity.
+    let (allocs, len) = count_allocs(|| {
         postings.clear();
-        for &(sig, id) in black_box(&stream) {
-            postings.insert(sig, id);
+        for &posting in black_box(&stream) {
+            postings.push(posting);
         }
-        (postings.len(), postings.postings())
+        postings.len()
     });
-    assert_eq!(len, warm_len);
-    assert_eq!(total, warm_postings);
-    assert_steady_state("SigPostings reload (clear + reinsert)", allocs);
+    assert_eq!(len, stream.len());
+    assert_steady_state("partition buffer reload (clear + refill)", allocs);
 }

@@ -28,6 +28,11 @@ pub enum SchemeKind {
     GeneralJaccard,
     /// `GeneralPartEnum` under the max-fraction predicate.
     GeneralMaxFraction,
+    /// `GeneralPartEnum::optimized` (cost-model parameters, the scheme
+    /// `ssjoin` builds) under jaccard.
+    OptimizedJaccard,
+    /// `GeneralPartEnum::optimized` under the max-fraction predicate.
+    OptimizedMaxFraction,
     /// `WtEnum` under weighted overlap `w(r∩s) ≥ T`.
     WtEnum,
     /// `WtEnumJaccard` under weighted jaccard.
@@ -61,6 +66,8 @@ impl SchemeKind {
         SchemeKind::PeJaccard,
         SchemeKind::GeneralJaccard,
         SchemeKind::GeneralMaxFraction,
+        SchemeKind::OptimizedJaccard,
+        SchemeKind::OptimizedMaxFraction,
         SchemeKind::WtEnum,
         SchemeKind::WtEnumJaccard,
         SchemeKind::Prefix,
@@ -78,6 +85,8 @@ impl SchemeKind {
             Self::PeJaccard => "pe-jaccard",
             Self::GeneralJaccard => "general-jaccard",
             Self::GeneralMaxFraction => "general-maxfraction",
+            Self::OptimizedJaccard => "optimized-jaccard",
+            Self::OptimizedMaxFraction => "optimized-maxfraction",
             Self::WtEnum => "wtenum",
             Self::WtEnumJaccard => "wtenum-jaccard",
             Self::Prefix => "prefix",
@@ -96,6 +105,8 @@ impl SchemeKind {
             Self::PeJaccard => "PeJaccard",
             Self::GeneralJaccard => "GeneralJaccard",
             Self::GeneralMaxFraction => "GeneralMaxFraction",
+            Self::OptimizedJaccard => "OptimizedJaccard",
+            Self::OptimizedMaxFraction => "OptimizedMaxFraction",
             Self::WtEnum => "WtEnum",
             Self::WtEnumJaccard => "WtEnumJaccard",
             Self::Prefix => "Prefix",

@@ -31,13 +31,16 @@ pub fn predicate_of(kind: SchemeKind, w: &AdversarialWorkload) -> Predicate {
         SchemeKind::PeHamming => Predicate::Hamming { k: w.hamming_k },
         SchemeKind::PeJaccard
         | SchemeKind::GeneralJaccard
+        | SchemeKind::OptimizedJaccard
         | SchemeKind::Prefix
         | SchemeKind::Identity
         | SchemeKind::Lsh
         | SchemeKind::Serve
         | SchemeKind::Extern
         | SchemeKind::Cluster => Predicate::Jaccard { gamma: w.gamma },
-        SchemeKind::GeneralMaxFraction => Predicate::MaxFraction { gamma: w.gamma },
+        SchemeKind::GeneralMaxFraction | SchemeKind::OptimizedMaxFraction => {
+            Predicate::MaxFraction { gamma: w.gamma }
+        }
         SchemeKind::WtEnum => Predicate::WeightedOverlap { t: w.weighted_t },
         SchemeKind::WtEnumJaccard => Predicate::WeightedJaccard { gamma: w.gamma_w },
     }
@@ -139,6 +142,11 @@ fn run_scheme(kind: SchemeKind, w: &AdversarialWorkload, threads: usize) -> RunR
         }
         SchemeKind::GeneralJaccard | SchemeKind::GeneralMaxFraction => {
             let scheme = GeneralPartEnum::new(pred, max_len, seed)
+                .map_err(|e| format!("construction failed: {e}"))?;
+            driver_pairs(&scheme, &collection, pred, None, opts)
+        }
+        SchemeKind::OptimizedJaccard | SchemeKind::OptimizedMaxFraction => {
+            let scheme = GeneralPartEnum::optimized(pred, &[&collection], seed)
                 .map_err(|e| format!("construction failed: {e}"))?;
             driver_pairs(&scheme, &collection, pred, None, opts)
         }
@@ -275,8 +283,8 @@ fn extern_pairs(
     pred: Predicate,
     seed: u64,
 ) -> RunResult {
-    let max_len = w.max_set_len().max(1);
-    let scheme = GeneralPartEnum::new(pred, max_len, seed)
+    // The scheme `ssjoin --mem-budget` builds: cost-model parameters.
+    let scheme = GeneralPartEnum::optimized(pred, &[collection], seed)
         .map_err(|e| format!("construction failed: {e}"))?;
     let path = std::env::temp_dir().join(format!(
         "ssjoin_difftest_{}_{}.seg",

@@ -51,7 +51,8 @@ commands:
     --seeds <n>         number of consecutive seeds to sweep (default 100)
     --schemes <a,b,..>  comma-separated scheme subset; any of:
                         pe-hamming, pe-jaccard, general-jaccard,
-                        general-maxfraction, wtenum, wtenum-jaccard,
+                        general-maxfraction, optimized-jaccard,
+                        optimized-maxfraction, wtenum, wtenum-jaccard,
                         prefix, identity, lsh, serve, extern
     --replay <seed>     verbosely re-run one seed (for minimized repros)
   crashtest [options]   crash-fault injection against the durable store:
