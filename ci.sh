@@ -66,4 +66,7 @@ scripts/cluster_smoke.sh
 echo "==> out-of-core spill smoke test"
 scripts/spill_smoke.sh
 
+echo "==> benchmark self-test (every workload's oracle at tiny sizes, traced and untraced)"
+python3 perfbench/run.py --self-test
+
 echo "CI green."

@@ -184,6 +184,9 @@ pub struct StatsSnapshot {
     pub overloaded: u64,
     /// See [`ServerMetrics::timeouts`].
     pub timeouts: u64,
+    /// Background snapshots that failed (see
+    /// [`ShardedIndex::snapshot_failures`](crate::ShardedIndex::snapshot_failures)).
+    pub snapshot_failures: u64,
     /// See [`ServerMetrics::queue_wait`].
     pub queue_wait: HistogramSnapshot,
     /// See [`ServerMetrics::service_time`].

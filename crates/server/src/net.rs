@@ -5,10 +5,15 @@
 //! on its own thread; [`serve_stdio`] runs a single session over the
 //! process's stdin/stdout. A `{"op":"shutdown"}` line from any session
 //! triggers a graceful drain of the whole server.
+//!
+//! Every NDJSON line this workspace puts on a socket — server replies,
+//! [`client_call`] requests, the cluster transport's node calls — goes
+//! out through [`send_line`] as one write on a `TCP_NODELAY` socket (see
+//! [`connect`] and [`serve_tcp`]).
 
 use crate::service::{Handle, Response, Server};
-use crate::wire::{encode_response, parse_request, WireRequest};
-use std::io::{self, BufRead, BufReader, Write};
+use crate::wire::{encode_response_into, parse_request, WireRequest};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,42 +27,102 @@ pub enum SessionEnd {
     Shutdown,
 }
 
+/// Appends the `\n` terminator to `line` and sends it with a single
+/// `write_all`, then flushes.
+///
+/// One write per line is what keeps a request/reply exchange off the
+/// network's timers: when a body and its newline go out as two writes,
+/// Nagle's algorithm holds the second until the peer ACKs the first, and
+/// a peer waiting for that newline delays its ACK (40 ms on Linux) — one
+/// stall per exchange. On a `TCP_NODELAY` socket one write leaves as one
+/// segment.
+pub fn send_line<W: Write>(out: &mut W, line: &mut String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
+}
+
+/// Opens a client connection to `addr` with `TCP_NODELAY` set.
+pub fn connect(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// One request/reply exchange on a fresh connection: sends `line` through
+/// [`send_line`] (`scratch` holds the framed copy) and reads the one reply
+/// line into `resp`, cleared first and without its line terminator.
+///
+/// The reply is read through a buffer that may take bytes past its
+/// newline, so `stream` must not be read again afterwards. `resp` is
+/// left empty when the peer closes without replying.
+pub fn exchange<S: Read + Write>(
+    mut stream: S,
+    line: &str,
+    scratch: &mut String,
+    resp: &mut String,
+) -> io::Result<()> {
+    scratch.clear();
+    scratch.push_str(line);
+    send_line(&mut stream, scratch)?;
+    resp.clear();
+    BufReader::new(stream).read_line(resp)?;
+    while resp.ends_with('\n') || resp.ends_with('\r') {
+        resp.pop();
+    }
+    Ok(())
+}
+
 /// Runs one wire-protocol session: one response line per request line.
 ///
 /// Malformed lines are answered with a `bad_request` response and the
-/// session continues; only I/O failures and shutdown end it.
+/// session continues; only I/O failures and shutdown end it. Each reply
+/// goes out as one write ([`send_line`]); the request and reply buffers
+/// are reused for the whole session.
 pub fn serve_connection<R: BufRead, W: Write>(
     handle: &Handle,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<SessionEnd> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut line = String::new();
+    let mut reply = String::new();
+    loop {
+        line.clear();
+        if input.read_line(&mut line)? == 0 {
+            return Ok(SessionEnd::Eof);
+        }
+        let request = line.strip_suffix('\n').unwrap_or(&line);
+        let request = request.strip_suffix('\r').unwrap_or(request);
+        if request.trim().is_empty() {
             continue;
         }
-        let reply = match parse_request(&line) {
-            Err(msg) => encode_response(&Response::Error(msg)),
+        reply.clear();
+        let end = match parse_request(request) {
+            Err(msg) => {
+                encode_response_into(&Response::Error(msg), &mut reply);
+                None
+            }
             Ok(WireRequest::Call { req, deadline }) => {
-                encode_response(&handle.call_with_deadline(req, deadline))
+                encode_response_into(&handle.call_with_deadline(req, deadline), &mut reply);
+                None
             }
             Ok(WireRequest::Shutdown) => {
-                output.write_all(b"{\"ok\":true,\"op\":\"shutdown\"}\n")?;
-                output.flush()?;
-                return Ok(SessionEnd::Shutdown);
+                reply.push_str("{\"ok\":true,\"op\":\"shutdown\"}");
+                Some(SessionEnd::Shutdown)
             }
         };
-        output.write_all(reply.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
+        send_line(&mut output, &mut reply)?;
+        if let Some(end) = end {
+            return Ok(end);
+        }
     }
-    Ok(SessionEnd::Eof)
 }
 
 /// Serves TCP clients on `listener` until one of them sends
 /// `{"op":"shutdown"}`, then drains the server and returns.
 ///
-/// Each connection runs on its own thread with a cloned [`Handle`]. Once a
+/// Each connection runs on its own thread with a cloned [`Handle`], with
+/// `TCP_NODELAY` set so every reply leaves in one segment. Once a
 /// shutdown arrives, the accept loop is woken by a loop-back connection,
 /// in-queue requests are answered, and still-connected clients receive
 /// `shutting_down` responses to any further calls.
@@ -80,6 +145,9 @@ pub fn serve_tcp(server: Server, listener: TcpListener) -> io::Result<()> {
         let _ = std::thread::Builder::new()
             .name("ssj-serve-conn".to_string())
             .spawn(move || {
+                if stream.set_nodelay(true).is_err() {
+                    return;
+                }
                 let Ok(read_half) = stream.try_clone() else {
                     return;
                 };
@@ -113,14 +181,9 @@ pub fn serve_stdio(server: Server) -> io::Result<SessionEnd> {
 /// One-shot client: sends `line` to a wire-protocol server at `addr` and
 /// returns the single response line.
 pub fn client_call(addr: &str, line: &str) -> io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
     let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply)?;
-    Ok(reply.trim_end().to_string())
+    exchange(&connect(addr)?, line, &mut String::new(), &mut reply)?;
+    Ok(reply)
 }
 
 #[cfg(test)]
@@ -189,6 +252,90 @@ mod tests {
         assert!(lines[1].contains("bad_request"), "{}", lines[1]);
         assert!(lines[2].contains("\"op\":\"insert\""), "{}", lines[2]);
         server.shutdown();
+    }
+
+    /// A `Write` that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let server = test_server();
+        let handle = server.handle();
+        let script = concat!(
+            "{\"op\":\"insert\",\"set\":[1,2,3,4,5]}\n",
+            "{\"op\":\"query\",\"set\":[1,2,3,4,5]}\r\n",
+            "not json\n",
+            "{\"op\":\"stats\"}\n",
+            "{\"op\":\"shutdown\"}\n",
+            "{\"op\":\"query\",\"set\":[1]}\n", // never read
+        );
+        let mut out = CountingWriter::default();
+        let end = serve_connection(&handle, script.as_bytes(), &mut out).expect("io ok");
+        assert_eq!(end, SessionEnd::Shutdown);
+        let text = std::str::from_utf8(&out.bytes).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "{text}");
+        assert!(lines[1].contains("\"ids\":["), "{}", lines[1]);
+        assert!(lines[2].contains("bad_request"), "{}", lines[2]);
+        assert_eq!(lines[4], "{\"ok\":true,\"op\":\"shutdown\"}");
+        assert_eq!(out.writes, lines.len(), "one write per reply: {text}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn persistent_session_round_trips_without_stalls() {
+        let server = test_server();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let srv = std::thread::spawn(move || serve_tcp(server, listener));
+        let insert = client_call(&addr, "{\"op\":\"insert\",\"set\":[9,8,7]}").expect("insert");
+        assert!(insert.contains("\"ok\":true"), "{insert}");
+
+        // One connection, each reply read before the next send. A reply
+        // split across two writes without TCP_NODELAY waits out the
+        // client's delayed ACK (about 40 ms) on every round trip, about
+        // 8 s for 200.
+        let stream = connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = &stream;
+        let mut line = String::new();
+        let mut reply = String::new();
+        let start = std::time::Instant::now();
+        for _ in 0..200 {
+            line.clear();
+            line.push_str("{\"op\":\"query\",\"set\":[7,8,9]}");
+            send_line(&mut writer, &mut line).expect("send");
+            reply.clear();
+            reader.read_line(&mut reply).expect("reply");
+            assert!(reply.contains("\"ids\":["), "{reply}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "200 round trips took {elapsed:?}"
+        );
+        drop(reader);
+        drop(stream);
+
+        let bye = client_call(&addr, "{\"op\":\"shutdown\"}").expect("shutdown");
+        assert!(bye.contains("\"op\":\"shutdown\""), "{bye}");
+        srv.join().expect("server thread").expect("serve_tcp io");
     }
 
     #[test]

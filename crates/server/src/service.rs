@@ -297,6 +297,9 @@ pub struct ShardedIndex {
     snapshot_every: u64,
     writes_since_snapshot: AtomicU64,
     snapshotting: AtomicBool,
+    /// Background snapshots that returned an error (the write that
+    /// triggered each one still succeeded through the WAL).
+    snapshot_failures: AtomicU64,
 }
 
 impl ShardedIndex {
@@ -327,6 +330,7 @@ impl ShardedIndex {
             snapshot_every: 0,
             writes_since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
+            snapshot_failures: AtomicU64::new(0),
         })
     }
 
@@ -399,6 +403,7 @@ impl ShardedIndex {
             snapshot_every: cfg.snapshot_every,
             writes_since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
+            snapshot_failures: AtomicU64::new(0),
         })
     }
 
@@ -469,6 +474,7 @@ impl ShardedIndex {
             snapshot_every: 0,
             writes_since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
+            snapshot_failures: AtomicU64::new(0),
         })
     }
 
@@ -829,8 +835,9 @@ impl ShardedIndex {
 
     /// Bumps the writes-since-snapshot counter and, when the configured
     /// cadence is reached and no snapshot is already running, takes one.
-    /// Snapshot failures are reported to stderr but never fail the write
-    /// that triggered them (its durability came from the WAL).
+    /// Snapshot failures are counted ([`ShardedIndex::snapshot_failures`])
+    /// and reported to stderr, but never fail the write that triggered
+    /// them (its durability came from the WAL).
     fn maybe_snapshot(&self) {
         if self.snapshot_every == 0 {
             return;
@@ -848,9 +855,16 @@ impl ShardedIndex {
         }
         self.writes_since_snapshot.store(0, Ordering::Relaxed);
         if let Err(e) = self.snapshot_now() {
+            self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
             eprintln!("ssj-serve: background snapshot failed: {e}");
         }
         self.snapshotting.store(false, Ordering::SeqCst);
+    }
+
+    /// Background snapshots (taken at the `snapshot_every` cadence) that
+    /// failed since this index was opened.
+    pub fn snapshot_failures(&self) -> u64 {
+        self.snapshot_failures.load(Ordering::Relaxed)
     }
 
     /// Snapshots every shard and truncates the WAL. Takes all shard read
@@ -1085,6 +1099,7 @@ impl Inner {
             accepted: self.metrics.accepted.load(Ordering::Relaxed),
             overloaded: self.metrics.overloaded.load(Ordering::Relaxed),
             timeouts: self.metrics.timeouts.load(Ordering::Relaxed),
+            snapshot_failures: self.index.snapshot_failures(),
             queue_wait: self.metrics.queue_wait.snapshot(),
             service_time: self.metrics.service_time.snapshot(),
         }

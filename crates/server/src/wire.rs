@@ -177,8 +177,8 @@ fn write_stats(out: &mut String, s: &StatsSnapshot) {
     let _ = write!(out, "\"seq\":{},", s.seq);
     let _ = write!(
         out,
-        "\"accepted\":{},\"overloaded\":{},\"timeouts\":{},",
-        s.accepted, s.overloaded, s.timeouts
+        "\"accepted\":{},\"overloaded\":{},\"timeouts\":{},\"snapshot_failures\":{},",
+        s.accepted, s.overloaded, s.timeouts, s.snapshot_failures
     );
     out.push_str("\"live_sets\":");
     write_ids(out, &s.live_sets);
@@ -202,13 +202,20 @@ fn write_stats(out: &mut String, s: &StatsSnapshot) {
 /// Encodes one response line (without the trailing newline).
 pub fn encode_response(resp: &Response) -> String {
     let mut out = String::new();
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Appends one response line (without the trailing newline) to `out`, so
+/// a session can reuse one buffer for every reply.
+pub fn encode_response_into(resp: &Response, out: &mut String) {
     match resp {
         Response::Inserted { id, seq, durable } => {
             let _ = write!(
                 out,
                 "{{\"ok\":true,\"op\":\"insert\",\"id\":{id},\"seq\":{seq}"
             );
-            write_durable(&mut out, *durable);
+            write_durable(out, *durable);
             out.push('}');
         }
         Response::Removed {
@@ -220,7 +227,7 @@ pub fn encode_response(resp: &Response) -> String {
                 out,
                 "{{\"ok\":true,\"op\":\"remove\",\"found\":{found},\"seq\":{seq}"
             );
-            write_durable(&mut out, *durable);
+            write_durable(out, *durable);
             out.push('}');
         }
         Response::Matches {
@@ -229,7 +236,7 @@ pub fn encode_response(resp: &Response) -> String {
             probed,
         } => {
             out.push_str("{\"ok\":true,\"op\":\"query\",\"ids\":");
-            write_ids(&mut out, ids);
+            write_ids(out, ids);
             let _ = write!(out, ",\"seen_seq\":{seen_seq},\"probed\":{probed}}}");
         }
         Response::QueryInserted {
@@ -240,14 +247,14 @@ pub fn encode_response(resp: &Response) -> String {
             durable,
         } => {
             out.push_str("{\"ok\":true,\"op\":\"query_insert\",\"ids\":");
-            write_ids(&mut out, ids);
+            write_ids(out, ids);
             let _ = write!(out, ",\"id\":{id},\"seq\":{seq},\"probed\":{probed}");
-            write_durable(&mut out, *durable);
+            write_durable(out, *durable);
             out.push('}');
         }
         Response::Stats(s) => {
             out.push_str("{\"ok\":true,\"op\":\"stats\",");
-            write_stats(&mut out, s);
+            write_stats(out, s);
             out.push('}');
         }
         Response::Compacted { seq, sets, file } => {
@@ -255,7 +262,7 @@ pub fn encode_response(resp: &Response) -> String {
                 out,
                 "{{\"ok\":true,\"op\":\"compact\",\"seq\":{seq},\"sets\":{sets},\"file\":"
             );
-            write_escaped(&mut out, file);
+            write_escaped(out, file);
             out.push('}');
         }
         Response::SegmentSet {
@@ -284,7 +291,7 @@ pub fn encode_response(resp: &Response) -> String {
             match frames {
                 Some(frames) => {
                     out.push_str(",\"frames\":");
-                    write_hex(&mut out, frames);
+                    write_hex(out, frames);
                 }
                 None => out.push_str(",\"truncated\":true"),
             }
@@ -299,7 +306,7 @@ pub fn encode_response(resp: &Response) -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                write_hex(&mut out, image);
+                write_hex(out, image);
             }
             out.push_str("]}");
         }
@@ -308,11 +315,10 @@ pub fn encode_response(resp: &Response) -> String {
         Response::ShuttingDown => out.push_str("{\"ok\":false,\"error\":\"shutting_down\"}"),
         Response::Error(msg) => {
             out.push_str("{\"ok\":false,\"error\":\"bad_request\",\"message\":");
-            write_escaped(&mut out, msg);
+            write_escaped(out, msg);
             out.push('}');
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -569,6 +575,7 @@ mod tests {
             accepted: 5,
             overloaded: 1,
             timeouts: 0,
+            snapshot_failures: 2,
             queue_wait: HistogramSnapshot {
                 buckets: vec![0; 4],
                 count: 0,
@@ -585,6 +592,7 @@ mod tests {
         let obj = v.as_object().unwrap();
         assert_eq!(obj["seq"].as_u64().unwrap(), 3);
         assert_eq!(obj["overloaded"].as_u64().unwrap(), 1);
+        assert_eq!(obj["snapshot_failures"].as_u64().unwrap(), 2);
         assert_eq!(obj["live_sets"].as_array().unwrap().len(), 2);
     }
 }

@@ -212,6 +212,39 @@ fn snapshots_compact_tombstones_away() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn failed_background_snapshot_is_counted_in_stats() {
+    let dir = test_dir("snapfail");
+    let cfg = ServerConfig {
+        snapshot_every: 2,
+        ..durable_cfg(&dir, SyncMode::Every)
+    };
+    let server = Server::start(cfg).expect("server starts");
+    let handle = server.handle();
+    // Replace the data dir with a plain file under the running server: the
+    // open WAL handle keeps appending, but the cadence snapshot cannot
+    // create its image files.
+    std::fs::remove_dir_all(&dir).expect("remove data dir");
+    std::fs::write(&dir, b"not a directory").expect("plain file");
+
+    let script = concat!(
+        "{\"op\":\"insert\",\"set\":[1,2,3]}\n",
+        "{\"op\":\"insert\",\"set\":[4,5,6]}\n",
+        "{\"op\":\"stats\"}\n",
+    );
+    let mut out = Vec::new();
+    ssj_serve::net::serve_connection(&handle, script.as_bytes(), &mut out).expect("session");
+    let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf8").lines().collect();
+    assert_eq!(lines.len(), 3);
+    // The snapshot failure never fails the write that triggered it.
+    assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
+    assert_eq!(json_u64(lines[2], "snapshot_failures"), 1, "{}", lines[2]);
+    assert_eq!(handle.stats().snapshot_failures, 1);
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&dir);
+}
+
 /// Total size of all `shard-*.snap` files in `dir`.
 fn snapshot_bytes(dir: &Path) -> u64 {
     let mut total = 0;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of `ssjoin serve`: boots the service on an
 # ephemeral port, drives a scripted insert/query/remove/shutdown session
-# through `ssjoin query`, and demands byte-exact response lines.
+# through `ssjoin query`, and demands byte-exact response lines; then runs
+# 50 queries over one persistent connection against a time limit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,6 +55,31 @@ expect '{"ok":true,"op":"query","ids":[],"seen_seq":1,"probed":0}' --set 7,8,9
 expect '{"ok":true,"op":"remove","found":true,"seq":1}' --remove 1
 expect '{"ok":true,"op":"remove","found":false,"seq":2}' --remove 1
 expect '{"ok":true,"op":"query","ids":[],"seen_seq":3,"probed":0}' --set 1,2,3,4,5,6
+
+# Persistent session: one connection, 50 queries, each reply read before
+# the next send. A reply that waits on Nagle's algorithm and the client's
+# delayed ACK costs about 40 ms per round trip (2 s for 50); one-segment
+# replies take well under a millisecond each.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+start=$EPOCHREALTIME
+for i in $(seq 50); do
+  printf '{"op":"query","set":[1,2,3,4,5,6]}\n' >&3
+  if ! IFS= read -r -t 5 reply <&3; then
+    echo "serve_smoke: persistent session got no reply to query $i"
+    exit 1
+  fi
+  if [[ "$reply" != *'"ok":true'* ]]; then
+    echo "serve_smoke: persistent session query $i answered: $reply"
+    exit 1
+  fi
+done
+elapsed_us=$(( ${EPOCHREALTIME/[.,]/} - ${start/[.,]/} ))
+exec 3<&-
+if (( elapsed_us >= 1000000 )); then
+  echo "serve_smoke: 50 persistent-session round trips took ${elapsed_us} us (limit 1 s)"
+  exit 1
+fi
+
 expect '{"ok":true,"op":"shutdown"}' --shutdown
 
 wait "$pid"
